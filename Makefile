@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test race vet staticcheck lint siglint siglint-escapes \
 	cover bench bench-figures bench-core benchcmp bench-pipeline-smoke \
-	bench-mc bench-ingest-smoke eval eval-paper fuzz fuzz-smoke \
+	bench-mc bench-ingest-smoke bench-gather-smoke eval eval-paper fuzz fuzz-smoke \
 	chaos chaos-wal chaos-cluster examples clean
 
 all: build test lint
@@ -90,6 +90,12 @@ bench-mc:
 bench-ingest-smoke:
 	$(GO) test -run=^$$ -bench='DecodeBatch|IngestBinaryTCP' -benchtime=100x ./internal/ingest/
 	$(GO) test -run=^$$ -bench='InsertHTTP' -benchtime=100x ./internal/server/
+
+# Fast sanity run of the gather merge benchmarks: the 16-image partition
+# merge and one in-process gather round with its view reads.
+bench-gather-smoke:
+	$(GO) test -run=^$$ -bench='MergeShardedCheckpoints' -benchtime=100x .
+	$(GO) test -run=^$$ -bench='GatherRound' -benchtime=100x ./internal/cluster/
 
 # Regenerate the full evaluation (quick scale) into results/.
 eval:

@@ -3,6 +3,8 @@ package sigstream
 import (
 	"errors"
 	"fmt"
+
+	"sigstream/internal/ltc"
 )
 
 // ErrNoCheckpoints reports an empty checkpoint list.
@@ -16,13 +18,13 @@ func MergeCheckpoints(images ...[]byte) (*LTC, error) {
 	if len(images) == 0 {
 		return nil, ErrNoCheckpoints
 	}
-	root := New(Config{})
-	if err := root.UnmarshalBinary(images[0]); err != nil {
+	root, err := decodeLTC(images[0])
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint 0: %w", err)
 	}
 	for i, img := range images[1:] {
-		shard := New(Config{})
-		if err := shard.UnmarshalBinary(img); err != nil {
+		shard, err := decodeLTC(img)
+		if err != nil {
 			return nil, fmt.Errorf("checkpoint %d: %w", i+1, err)
 		}
 		if err := root.Merge(shard); err != nil {
@@ -32,37 +34,40 @@ func MergeCheckpoints(images ...[]byte) (*LTC, error) {
 	return root, nil
 }
 
+// decodeLTC restores a tracker straight from its image: the image
+// dictates the geometry, so no default-sized tracker is built first.
+func decodeLTC(img []byte) (*LTC, error) {
+	l := new(ltc.LTC)
+	if err := l.UnmarshalBinary(img); err != nil {
+		return nil, err
+	}
+	return &LTC{wrap: wrap{l}, l: l}, nil
+}
+
 // MergeShardedCheckpoints restores each binary checkpoint (as produced by
 // Sharded.MarshalBinary, and as served by sigserver's checkpoint route)
-// and folds them shard by shard into a single Sharded tracker — the
+// and folds them in order into the first with Sharded.Merge — the
 // aggregation path a cluster coordinator uses on images pulled from
 // remote sites. All checkpoints must come from trackers built with the
 // same Config and shard count: shard i of every image merges into shard i
 // of the result, preserving the hash partition, so the merged tracker
 // answers TopK and Query exactly as one tracker that saw every site's
-// arrivals. The images are decoded fresh and owned exclusively here, so
-// no locks are taken during the merge.
+// arrivals.
 func MergeShardedCheckpoints(images ...[]byte) (*Sharded, error) {
 	if len(images) == 0 {
 		return nil, ErrNoCheckpoints
 	}
-	root := new(Sharded)
-	if err := root.UnmarshalBinary(images[0]); err != nil {
-		return nil, fmt.Errorf("checkpoint 0: %w", err)
+	trackers := make([]*Sharded, len(images))
+	for i, img := range images {
+		trackers[i] = new(Sharded)
+		if err := trackers[i].UnmarshalBinary(img); err != nil {
+			return nil, fmt.Errorf("checkpoint %d: %w", i, err)
+		}
 	}
-	for i, img := range images[1:] {
-		next := new(Sharded)
-		if err := next.UnmarshalBinary(img); err != nil {
+	root := trackers[0]
+	for i, next := range trackers[1:] {
+		if err := root.Merge(next); err != nil {
 			return nil, fmt.Errorf("checkpoint %d: %w", i+1, err)
-		}
-		if len(next.shards) != len(root.shards) {
-			return nil, fmt.Errorf("checkpoint %d: %d shards, want %d",
-				i+1, len(next.shards), len(root.shards))
-		}
-		for s := range root.shards {
-			if err := root.shards[s].l.Merge(next.shards[s].l); err != nil {
-				return nil, fmt.Errorf("checkpoint %d shard %d: %w", i+1, s, err)
-			}
 		}
 	}
 	return root, nil

@@ -3,215 +3,11 @@
 // flows all over the data center can be efficiently identified, we can
 // make a global solution to schedule the persistent flows".
 //
-// Each Site owns an LTC over its local arrivals. A Coordinator collects
-// binary checkpoints (the transport is abstracted, so sites can live
-// in-process, behind cmd/sigserver, or ship files) and merges them at each
-// period boundary into a queryable global summary. Items must be
-// partitioned across sites (each item's arrivals at one site — e.g.
-// flow-hash routing); overlapping items are merged by summing, which
-// overcounts persistency only if the same item appears at two sites in the
-// same period.
+// The item space is hash-partitioned (Topology) and each partition is
+// hosted, R times over, as a tenant namespace on sigserver nodes. A
+// Gatherer pulls one checkpoint per partition replica each round, merges
+// exactly one image per partition into a cluster-wide view under quorum
+// rules, and serves that view until the next commit. Items are
+// partitioned, so merging sums nothing twice; replication never inflates
+// counts because only one replica image per partition enters the view.
 package cluster
-
-import (
-	"fmt"
-	"sync"
-
-	"sigstream/internal/ltc"
-	"sigstream/internal/stream"
-)
-
-// Config shapes every tracker in the cluster. All sites must share it so
-// their checkpoints merge.
-type Config struct {
-	// MemoryBytes is each site's budget.
-	MemoryBytes int
-	// Weights are the significance coefficients.
-	Weights stream.Weights
-	// ItemsPerPeriod paces each site's CLOCK sweep (per-site arrivals).
-	ItemsPerPeriod int
-	// Seed keys the hash functions (must match across sites).
-	Seed uint32
-}
-
-func (c Config) options() ltc.Options {
-	return ltc.Options{
-		MemoryBytes:    c.MemoryBytes,
-		Weights:        c.Weights,
-		ItemsPerPeriod: c.ItemsPerPeriod,
-		Seed:           c.Seed,
-	}
-}
-
-// Site is one collection point.
-type Site struct {
-	name string
-	mu   sync.Mutex
-	l    *ltc.LTC
-}
-
-// NewSite creates a named site tracker.
-func NewSite(name string, cfg Config) *Site {
-	return &Site{name: name, l: ltc.New(cfg.options())}
-}
-
-// Name returns the site's identifier.
-func (s *Site) Name() string { return s.name }
-
-// Insert records one local arrival. Safe for concurrent use.
-func (s *Site) Insert(item stream.Item) {
-	s.mu.Lock()
-	s.l.Insert(item)
-	s.mu.Unlock()
-}
-
-// EndPeriod closes the site's current period.
-func (s *Site) EndPeriod() {
-	s.mu.Lock()
-	s.l.EndPeriod()
-	s.mu.Unlock()
-}
-
-// Export snapshots the site's state for shipping to the coordinator.
-func (s *Site) Export() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.l.MarshalBinary()
-}
-
-// Coordinator merges site checkpoints into a global summary.
-type Coordinator struct {
-	cfg Config
-
-	mu     sync.Mutex
-	epoch  int
-	global *ltc.LTC            // latest merged view (nil before first round)
-	seen   map[string]struct{} // sites collected this round
-	staged *ltc.LTC            // merge-in-progress for the current round
-	last   *Report             // last GatherRound outcome (nil before one runs)
-}
-
-// NewCoordinator creates a coordinator expecting checkpoints built with cfg.
-func NewCoordinator(cfg Config) *Coordinator {
-	return &Coordinator{cfg: cfg, seen: map[string]struct{}{}}
-}
-
-// Collect absorbs one site's checkpoint into the current round. Collecting
-// the same site twice in a round is an error (stale duplicate shipments
-// must not double-count).
-func (c *Coordinator) Collect(site string, checkpoint []byte) error {
-	restored := ltc.New(c.cfg.options())
-	if err := restored.UnmarshalBinary(checkpoint); err != nil {
-		return fmt.Errorf("cluster: site %s: %w", site, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.seen[site]; dup {
-		return fmt.Errorf("cluster: site %s already collected in epoch %d", site, c.epoch)
-	}
-	if c.staged == nil {
-		c.staged = restored
-	} else {
-		if err := c.staged.Merge(restored); err != nil {
-			return fmt.Errorf("cluster: site %s: %w", site, err)
-		}
-	}
-	c.seen[site] = struct{}{}
-	return nil
-}
-
-// Commit finishes the round: the staged merge becomes the queryable global
-// view and a new round begins. It reports the number of sites merged.
-func (c *Coordinator) Commit() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.seen)
-	if c.staged != nil {
-		c.global = c.staged
-	}
-	c.staged = nil
-	c.seen = map[string]struct{}{}
-	c.epoch++
-	return n
-}
-
-// Epoch reports the number of committed rounds.
-func (c *Coordinator) Epoch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// LastReport returns the report of the most recent GatherRound, so
-// degraded state stays observable between rounds instead of vanishing
-// with the gather call's return value. The second result is false before
-// the first round. The returned report is a copy; mutating it does not
-// affect the coordinator.
-func (c *Coordinator) LastReport() (Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.last == nil {
-		return Report{}, false
-	}
-	rep := Report{Epoch: c.last.Epoch, Skipped: make(map[string]error, len(c.last.Skipped))}
-	rep.Merged = append(rep.Merged, c.last.Merged...)
-	for site, err := range c.last.Skipped {
-		rep.Skipped[site] = err
-	}
-	return rep, true
-}
-
-// setLastReport records rep as the most recent round outcome.
-func (c *Coordinator) setLastReport(rep Report) {
-	c.mu.Lock()
-	c.last = &rep
-	c.mu.Unlock()
-}
-
-// Pending reports the sites collected in the current round.
-func (c *Coordinator) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.seen)
-}
-
-// TopK reports the global top-k from the last committed round.
-func (c *Coordinator) TopK(k int) []stream.Entry {
-	c.mu.Lock()
-	g := c.global
-	c.mu.Unlock()
-	if g == nil {
-		return nil
-	}
-	return g.TopK(k)
-}
-
-// Query reports the global estimate for an item from the last committed
-// round.
-func (c *Coordinator) Query(item stream.Item) (stream.Entry, bool) {
-	c.mu.Lock()
-	g := c.global
-	c.mu.Unlock()
-	if g == nil {
-		return stream.Entry{}, false
-	}
-	return g.Query(item)
-}
-
-// Round runs one full collection cycle over in-process sites: every site's
-// period is closed, exported and collected, then the round commits. It is
-// the convenience path for single-process deployments and tests.
-func (c *Coordinator) Round(sites ...*Site) error {
-	for _, s := range sites {
-		s.EndPeriod()
-		img, err := s.Export()
-		if err != nil {
-			return fmt.Errorf("cluster: site %s export: %w", s.Name(), err)
-		}
-		if err := c.Collect(s.Name(), img); err != nil {
-			return err
-		}
-	}
-	c.Commit()
-	return nil
-}

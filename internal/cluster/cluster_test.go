@@ -1,155 +1,190 @@
 package cluster
 
 import (
+	"context"
+	"strings"
 	"sync"
 	"testing"
-
-	"sigstream/internal/stream"
+	"time"
 )
 
-func cfg() Config {
-	return Config{MemoryBytes: 16 << 10, Weights: stream.Balanced, Seed: 5}
-}
-
 func TestRoundMergesSites(t *testing.T) {
-	a := NewSite("rack-a", cfg())
-	b := NewSite("rack-b", cfg())
-	co := NewCoordinator(cfg())
+	tc := newTestCluster(t, 8, 2, BreakerConfig{})
 	for p := 0; p < 3; p++ {
-		for i := 0; i < 10; i++ {
-			a.Insert(1)
-			b.Insert(2)
+		tc.insert(1, 10)
+		tc.insert(2, 10)
+		tc.endPeriod()
+		if rep := tc.g.Round(context.Background()); !rep.Committed {
+			t.Fatalf("round %d did not commit: %s", p, rep.Reason)
 		}
-		if err := co.Round(a, b); err != nil {
-			t.Fatal(err)
+	}
+	entries, info, ok := tc.g.TopK(2)
+	if !ok || info.Epoch != 3 {
+		t.Fatalf("view ok=%v epoch %d, want 3", ok, info.Epoch)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("global TopK returned %d entries", len(entries))
+	}
+	for _, e := range entries {
+		if e.Frequency != 30 || e.Persistency != 3 {
+			t.Fatalf("item %d = %+v, want frequency 30 over 3 periods", e.Item, e)
 		}
-	}
-	if co.Epoch() != 3 {
-		t.Fatalf("epoch = %d, want 3", co.Epoch())
-	}
-	e1, ok1 := co.Query(1)
-	e2, ok2 := co.Query(2)
-	if !ok1 || !ok2 {
-		t.Fatal("global view lost an item")
-	}
-	if e1.Frequency != 30 || e2.Frequency != 30 {
-		t.Fatalf("frequencies %d/%d, want 30/30", e1.Frequency, e2.Frequency)
-	}
-	if e1.Persistency != 3 || e2.Persistency != 3 {
-		t.Fatalf("persistencies %d/%d, want 3/3", e1.Persistency, e2.Persistency)
-	}
-	top := co.TopK(2)
-	if len(top) != 2 {
-		t.Fatalf("global TopK returned %d entries", len(top))
 	}
 }
 
 func TestCoordinatorBeforeFirstCommit(t *testing.T) {
-	co := NewCoordinator(cfg())
-	if got := co.TopK(5); got != nil {
-		t.Fatalf("TopK before any commit = %v, want nil", got)
+	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc.load(10)
+	if entries, _, ok := tc.g.TopK(5); ok || entries != nil {
+		t.Fatalf("TopK before any commit = %v ok=%v, want nothing", entries, ok)
 	}
-	if _, ok := co.Query(1); ok {
-		t.Fatal("Query before any commit must miss")
+	if _, ok := tc.g.ViewInfo(); ok {
+		t.Fatal("ViewInfo before any commit must miss")
 	}
 }
 
+// TestDuplicateCollectionRejected checks that the R images of one
+// partition are never merged together: every replica reports, exactly
+// one image enters the view, and counts are not multiplied by R.
 func TestDuplicateCollectionRejected(t *testing.T) {
-	s := NewSite("x", cfg())
-	s.Insert(1)
-	img, err := s.Export()
-	if err != nil {
-		t.Fatal(err)
+	tc := newTestCluster(t, 1, 3, BreakerConfig{})
+	tc.load(20)
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round did not commit: %s", rep.Reason)
 	}
-	co := NewCoordinator(cfg())
-	if err := co.Collect("x", img); err != nil {
-		t.Fatal(err)
+	if pr := rep.Partitions[0]; pr.Reported != 3 || pr.MergedFrom == "" {
+		t.Fatalf("partition report %+v, want 3 reports and one merged replica", pr)
 	}
-	if err := co.Collect("x", img); err == nil {
-		t.Fatal("duplicate site collection accepted")
+	entries, _, _ := tc.g.TopK(50)
+	if len(entries) != 20 {
+		t.Fatalf("view holds %d items, want 20", len(entries))
 	}
-	// A new round accepts the site again.
-	co.Commit()
-	if err := co.Collect("x", img); err != nil {
-		t.Fatalf("post-commit collection rejected: %v", err)
+	for _, e := range entries {
+		if e.Frequency != 1 {
+			t.Fatalf("item %d frequency %d, want 1 (replicas must not be summed)", e.Item, e.Frequency)
+		}
 	}
 }
 
 func TestCollectRejectsGarbage(t *testing.T) {
-	co := NewCoordinator(cfg())
-	if err := co.Collect("x", []byte("junk")); err == nil {
-		t.Fatal("garbage checkpoint accepted")
+	tc := newTestCluster(t, 1, 1, BreakerConfig{})
+	tc.load(5)
+	site := tc.topo.ReplicaSites(0)[0]
+	tc.fakes[site].corrupt[PartitionNamespace(0)] = true
+	rep := tc.g.Round(context.Background())
+	if rep.Committed || !strings.Contains(rep.Reason, "quorum") {
+		t.Fatalf("round over a garbage-only partition: %+v", rep)
 	}
-	if co.Pending() != 0 {
-		t.Fatal("failed collection counted as pending")
+	sr := siteReport(t, rep, site)
+	if len(sr.Skips) != 1 || !strings.Contains(sr.Skips[0], "corrupt checkpoint") {
+		t.Fatalf("skips %v, want one corrupt-checkpoint reason", sr.Skips)
+	}
+	if _, _, ok := tc.g.TopK(5); ok {
+		t.Fatal("garbage checkpoint produced a view")
 	}
 }
 
+// TestCommitWithoutCollectionsKeepsOldView runs a round in which every
+// breaker is open, so nothing is fetched at all: the round must not
+// commit, and the previous view keeps answering.
 func TestCommitWithoutCollectionsKeepsOldView(t *testing.T) {
-	s := NewSite("x", cfg())
-	s.Insert(7)
-	co := NewCoordinator(cfg())
-	if err := co.Round(s); err != nil {
-		t.Fatal(err)
+	tc := newTestCluster(t, 4, 2, BreakerConfig{Trip: 1, Cooldown: time.Hour})
+	tc.load(7)
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("healthy round did not commit: %s", rep.Reason)
 	}
-	if n := co.Commit(); n != 0 {
-		t.Fatalf("empty commit merged %d sites", n)
+	for _, f := range tc.fakes {
+		f.setDown(true)
 	}
-	// The previous global view survives an empty round.
-	if _, ok := co.Query(7); !ok {
-		t.Fatal("empty commit dropped the global view")
+	tc.g.Round(context.Background()) // trips every breaker
+	calls := 0
+	for _, f := range tc.fakes {
+		calls += f.calls()
+	}
+	rep := tc.g.Round(context.Background())
+	after := 0
+	for _, f := range tc.fakes {
+		after += f.calls()
+	}
+	if after != calls {
+		t.Fatalf("open breakers allowed %d fetches", after-calls)
+	}
+	if rep.Committed {
+		t.Fatal("round without collections committed")
+	}
+	entries, info, ok := tc.g.TopK(10)
+	if !ok || info.Epoch != 1 || len(entries) != 7 {
+		t.Fatalf("previous view lost: ok=%v epoch %d, %d entries", ok, info.Epoch, len(entries))
 	}
 }
 
+// TestConcurrentSiteIngestion runs gather rounds and view readers while
+// producers write to the sites; the final round must hold every arrival
+// exactly once.
 func TestConcurrentSiteIngestion(t *testing.T) {
-	s := NewSite("busy", cfg())
+	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc.load(100) // create every partition's trackers up front
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 5000; i++ {
-				s.Insert(stream.Item(i%100 + 1))
+			for i := 0; i < 2000; i++ {
+				tc.insert(uint64((g*2000+i)%100+1), 1)
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tc.g.TopK(10)
+				}
 			}
 		}()
 	}
+	for i := 0; i < 5; i++ {
+		tc.g.Round(context.Background())
+	}
 	wg.Wait()
-	co := NewCoordinator(cfg())
-	if err := co.Round(s); err != nil {
-		t.Fatal(err)
+	close(stop)
+	readers.Wait()
+	if rep := tc.g.Round(context.Background()); !rep.Committed {
+		t.Fatalf("final round did not commit: %s", rep.Reason)
 	}
 	var total uint64
-	for _, e := range co.TopK(1 << 20) {
+	entries, _, _ := tc.g.TopK(1 << 20)
+	for _, e := range entries {
 		total += e.Frequency
 	}
-	if total != 8*5000 {
-		t.Fatalf("global frequency sum %d, want %d", total, 8*5000)
+	if want := uint64(100 + 4*2000); total != want {
+		t.Fatalf("global frequency sum %d, want %d", total, want)
 	}
 }
 
 func TestGlobalRankingAcrossSites(t *testing.T) {
-	// The global winner has its traffic split across no sites (items are
-	// partitioned), but a site-local ranking would miss cross-site
-	// comparisons: site A's #2 may be globally #1.
-	a := NewSite("a", cfg())
-	b := NewSite("b", cfg())
-	co := NewCoordinator(cfg())
+	// A partition-local ranking would miss cross-partition comparisons:
+	// one partition's #2 may be globally #1.
+	tc := newTestCluster(t, 8, 2, BreakerConfig{})
 	for p := 0; p < 2; p++ {
-		for i := 0; i < 50; i++ {
-			a.Insert(100) // site A's local #1
-		}
-		for i := 0; i < 40; i++ {
-			a.Insert(101)
-		}
-		for i := 0; i < 45; i++ {
-			b.Insert(200) // site B's local #1, globally #2
-		}
-		if err := co.Round(a, b); err != nil {
-			t.Fatal(err)
+		tc.insert(100, 50)
+		tc.insert(101, 40)
+		tc.insert(200, 45)
+		tc.endPeriod()
+		if rep := tc.g.Round(context.Background()); !rep.Committed {
+			t.Fatalf("round did not commit: %s", rep.Reason)
 		}
 	}
-	top := co.TopK(3)
-	if top[0].Item != 100 || top[1].Item != 200 || top[2].Item != 101 {
+	top, _, _ := tc.g.TopK(3)
+	if len(top) != 3 || top[0].Item != 100 || top[1].Item != 200 || top[2].Item != 101 {
 		t.Fatalf("global ranking wrong: %+v", top)
 	}
 }

@@ -19,6 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -216,12 +219,68 @@ type GatherStats struct {
 	PartitionsQuorum int
 }
 
-// view is one committed cluster snapshot.
+// view is one committed cluster snapshot. Everything but the ranking is
+// fixed at commit; the ranking is computed once, on the first read that
+// needs it, and every TopK(k) after that serves a prefix of it.
 type view struct {
 	epoch     int
 	committed time.Time
-	tracker   *sigstream.Sharded // nil when the committed cluster was empty
-	names     map[uint64]string
+	tracker   *sigstream.Sharded  // nil when the committed cluster was empty
+	names     []map[uint64]string // display keys, one map per partition
+
+	rankOnce sync.Once
+	ranked   []ViewEntry
+}
+
+// ranking returns the whole view in rank order with display keys,
+// computing it on first use. Producers route by key string, not by item
+// hash, so an item's partition is not derivable from the item and the
+// per-partition name maps are joined here.
+func (v *view) ranking() []ViewEntry {
+	v.rankOnce.Do(func() {
+		n := 0
+		for _, m := range v.names {
+			n += len(m)
+		}
+		names := make(map[uint64]string, n)
+		for _, m := range v.names {
+			for item, key := range m {
+				names[item] = key
+			}
+		}
+		es := v.tracker.TopK(math.MaxInt)
+		v.ranked = make([]ViewEntry, len(es))
+		for i, e := range es {
+			key, found := names[e.Item]
+			if !found {
+				key = strconv.FormatUint(e.Item, 10)
+			}
+			v.ranked[i] = ViewEntry{
+				Key:          key,
+				Item:         e.Item,
+				Frequency:    e.Frequency,
+				Persistency:  e.Persistency,
+				Significance: e.Significance,
+			}
+		}
+	})
+	return v.ranked
+}
+
+// nameKey identifies the replica image a partition's display names were
+// harvested from. Key strings are a fixed function of the item hash, so
+// names fetched for an earlier image are never wrong, only possibly
+// incomplete; they are re-fetched only when the key changes.
+type nameKey struct {
+	site     string
+	periods  uint64
+	arrivals uint64
+}
+
+// partitionNames is one partition's cached display names.
+type partitionNames struct {
+	key   nameKey // zero until a fetch succeeds
+	names map[uint64]string
 }
 
 // Gatherer runs quorum gather rounds and serves the committed view.
@@ -236,7 +295,8 @@ type Gatherer struct {
 	resolve int
 	now     func() time.Time
 
-	roundMu sync.Mutex // serializes Round
+	roundMu sync.Mutex       // serializes Round
+	names   []partitionNames // per-partition name cache, guarded by roundMu
 
 	mu        sync.Mutex
 	sites     map[string]*siteEntry
@@ -281,6 +341,7 @@ func NewGatherer(cfg GatherConfig) (*Gatherer, error) {
 		timeout: cfg.FetchTimeout,
 		resolve: resolve,
 		now:     cfg.now,
+		names:   make([]partitionNames, cfg.Topology.Partitions()),
 		sites:   make(map[string]*siteEntry),
 		skips:   make(map[string]uint64),
 	}
@@ -303,12 +364,15 @@ const (
 	fetchUnreachable
 )
 
-// replicaFetch is one replica's round outcome for one partition.
+// replicaFetch is one replica's round outcome for one partition. A
+// fetched image is decoded once, here; the chosen replica's tracker is
+// merged into the view as is.
 type replicaFetch struct {
-	class   fetchClass
-	img     []byte
-	tracker *sigstream.Sharded
-	err     error
+	class    fetchClass
+	tracker  *sigstream.Sharded
+	periods  uint64
+	arrivals uint64
+	err      error
 }
 
 // fetchReplica pulls and validates one partition checkpoint from one
@@ -353,7 +417,9 @@ func (g *Gatherer) fetchReplica(ctx context.Context, sc SiteClient, ns string) r
 			g.mu.Unlock()
 			return replicaFetch{class: fetchCorrupt, err: derr}
 		}
-		return replicaFetch{class: fetchOK, img: img, tracker: tracker}
+		st := tracker.Stats()
+		return replicaFetch{class: fetchOK, tracker: tracker,
+			periods: st.Periods, arrivals: st.Arrivals}
 	}
 	return replicaFetch{class: fetchUnreachable,
 		err: fmt.Errorf("unreachable after %d attempts: %w", p.Attempts, lastErr)}
@@ -406,8 +472,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 	}
 
 	parts := make([]PartitionReport, g.topo.Partitions())
-	images := make([][]byte, 0, g.topo.Partitions())
-	mergedSite := make([]string, g.topo.Partitions())
+	chosen := make([]replicaFetch, g.topo.Partitions())
 	quorum := g.topo.Quorum()
 	allQuorum := true
 	for p := 0; p < g.topo.Partitions(); p++ {
@@ -449,10 +514,7 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		if !pr.Quorum {
 			allQuorum = false
 		}
-		if best.tracker != nil {
-			images = append(images, best.img)
-			mergedSite[p] = pr.MergedFrom
-		}
+		chosen[p] = best
 		parts[p] = pr
 	}
 
@@ -518,16 +580,12 @@ func (g *Gatherer) Round(ctx context.Context) (rep RoundReport) {
 		rep.Reason = "commit aborted: " + err.Error()
 		return rep
 	}
-	var merged *sigstream.Sharded
-	if len(images) > 0 {
-		var err error
-		merged, err = sigstream.MergeShardedCheckpoints(images...)
-		if err != nil {
-			rep.Reason = "merge failed: " + err.Error()
-			return rep
-		}
+	merged, err := mergeChosen(chosen)
+	if err != nil {
+		rep.Reason = "merge failed: " + err.Error()
+		return rep
 	}
-	names := g.harvestNames(ctx, parts)
+	names := g.harvestNames(ctx, parts, chosen)
 
 	g.mu.Lock()
 	epoch := 1
@@ -549,35 +607,59 @@ func better(a, b replicaFetch) bool {
 	if b.tracker == nil {
 		return a.tracker != nil
 	}
-	as, bs := a.tracker.Stats(), b.tracker.Stats()
-	if as.Periods != bs.Periods {
-		return as.Periods > bs.Periods
+	if a.periods != b.periods {
+		return a.periods > b.periods
 	}
-	return as.Arrivals > bs.Arrivals
+	return a.arrivals > b.arrivals
 }
 
-// harvestNames pulls display keys for each merged partition's top items,
-// best-effort, from the replica whose image entered the view.
-func (g *Gatherer) harvestNames(ctx context.Context, parts []PartitionReport) map[uint64]string {
-	names := make(map[uint64]string)
-	if g.resolve == 0 {
-		return names
+// mergeChosen folds the chosen replica trackers, in partition order, into
+// the first — the fold MergeShardedCheckpoints applies to the same
+// images, without decoding them a second time. The result is nil when no
+// partition had data.
+func mergeChosen(chosen []replicaFetch) (*sigstream.Sharded, error) {
+	var merged *sigstream.Sharded
+	for p, c := range chosen {
+		switch {
+		case c.tracker == nil:
+		case merged == nil:
+			merged = c.tracker
+		default:
+			if err := merged.Merge(c.tracker); err != nil {
+				return nil, fmt.Errorf("partition %d: %w", p, err)
+			}
+		}
 	}
-	for _, pr := range parts {
+	return merged, nil
+}
+
+// harvestNames returns each merged partition's display keys, best-effort,
+// from the replica whose image entered the view. A partition is asked
+// again only when that image changed (another site, or more periods or
+// arrivals); a failed fetch keeps the previous names and leaves the key
+// stale, so the next round asks again.
+func (g *Gatherer) harvestNames(ctx context.Context, parts []PartitionReport, chosen []replicaFetch) []map[uint64]string {
+	out := make([]map[uint64]string, len(parts))
+	if g.resolve == 0 {
+		return out
+	}
+	for p, pr := range parts {
 		if pr.MergedFrom == "" {
 			continue
 		}
-		nctx, cancel := context.WithTimeout(ctx, g.timeout)
-		m, err := g.cfg.Clients[pr.MergedFrom].FetchNames(nctx, pr.Namespace, g.resolve)
-		cancel()
-		if err != nil {
-			continue
+		c := &g.names[p]
+		key := nameKey{site: pr.MergedFrom, periods: chosen[p].periods, arrivals: chosen[p].arrivals}
+		if c.key != key {
+			nctx, cancel := context.WithTimeout(ctx, g.timeout)
+			m, err := g.cfg.Clients[pr.MergedFrom].FetchNames(nctx, pr.Namespace, g.resolve)
+			cancel()
+			if err == nil {
+				c.key, c.names = key, m
+			}
 		}
-		for item, key := range m {
-			names[item] = key
-		}
+		out[p] = c.names
 	}
-	return names
+	return out
 }
 
 // TopK reports the committed cluster view's top-k entries with view
@@ -599,20 +681,11 @@ func (g *Gatherer) TopK(k int) (entries []ViewEntry, info ViewInfo, ok bool) {
 	if v.tracker == nil {
 		return []ViewEntry{}, info, true
 	}
-	for _, e := range v.tracker.TopK(k) {
-		key, found := v.names[e.Item]
-		if !found {
-			key = fmt.Sprintf("%d", e.Item)
-		}
-		entries = append(entries, ViewEntry{
-			Key:          key,
-			Item:         e.Item,
-			Frequency:    e.Frequency,
-			Persistency:  e.Persistency,
-			Significance: e.Significance,
-		})
+	if k <= 0 {
+		return nil, info, true
 	}
-	return entries, info, true
+	ranked := v.ranking()
+	return slices.Clone(ranked[:min(k, len(ranked))]), info, true
 }
 
 // ViewInfo reports the committed view's provenance without its entries.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,7 +23,9 @@ type fakeSite struct {
 	down       bool            // every call fails (node dead)
 	corrupt    map[string]bool // namespaces served as garbage
 	failFirst  int             // fail this many fetches, then recover
+	failNames  int             // fail this many name fetches, then recover
 	fetchCalls int
+	nameCalls  int
 	readyCalls int
 }
 
@@ -69,10 +72,19 @@ func (f *fakeSite) FetchCheckpoint(ctx context.Context, ns string) ([]byte, erro
 func (f *fakeSite) FetchNames(ctx context.Context, ns string, k int) (map[uint64]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.nameCalls++
 	if f.down {
 		return nil, errors.New("connection refused")
 	}
-	return f.names[ns], nil
+	if f.failNames > 0 {
+		f.failNames--
+		return nil, errors.New("i/o timeout")
+	}
+	names := make(map[uint64]string, len(f.names[ns]))
+	for item, key := range f.names[ns] {
+		names[item] = key
+	}
+	return names, nil
 }
 
 func (f *fakeSite) Ready(ctx context.Context) error {
@@ -117,9 +129,14 @@ type testCluster struct {
 	clock time.Time
 }
 
-func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfig) *testCluster {
+func newTestCluster(t testing.TB, partitions, replicas int, breaker BreakerConfig) *testCluster {
 	t.Helper()
-	sites := testSites()
+	return newTestClusterOver(t, testSites(), partitions, replicas, breaker)
+}
+
+// newTestClusterOver is newTestCluster over an explicit site list.
+func newTestClusterOver(t testing.TB, sites []string, partitions, replicas int, breaker BreakerConfig) *testCluster {
+	t.Helper()
 	topo, err := NewTopology(sites, partitions, replicas)
 	if err != nil {
 		t.Fatal(err)
@@ -149,13 +166,25 @@ func newTestCluster(t *testing.T, partitions, replicas int, breaker BreakerConfi
 // closes one period everywhere.
 func (tc *testCluster) load(n int) {
 	for i := 1; i <= n; i++ {
-		item := uint64(i)
-		p := tc.topo.Partition(item)
-		ns := PartitionNamespace(p)
-		for _, site := range tc.topo.ReplicaSites(p) {
-			tc.fakes[site].tracker(ns).Insert(item)
+		tc.insert(uint64(i), 1)
+	}
+	tc.endPeriod()
+}
+
+// insert records n arrivals of item on every replica of its partition.
+func (tc *testCluster) insert(item uint64, n int) {
+	p := tc.topo.Partition(item)
+	ns := PartitionNamespace(p)
+	for _, site := range tc.topo.ReplicaSites(p) {
+		tr := tc.fakes[site].tracker(ns)
+		for i := 0; i < n; i++ {
+			tr.Insert(item)
 		}
 	}
+}
+
+// endPeriod closes the current period of every partition on every site.
+func (tc *testCluster) endPeriod() {
 	for _, f := range tc.fakes {
 		f.mu.Lock()
 		for _, tr := range f.parts {
@@ -513,5 +542,244 @@ func TestGatherReportString(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", rep.Sites[0].Health) != "healthy" {
 		t.Fatal("health class does not render")
+	}
+}
+
+// nameCalls sums FetchNames calls across every fake site.
+func (tc *testCluster) nameCalls() int {
+	n := 0
+	for _, f := range tc.fakes {
+		f.mu.Lock()
+		n += f.nameCalls
+		f.mu.Unlock()
+	}
+	return n
+}
+
+// siteNameCalls reports one site's FetchNames calls.
+func (tc *testCluster) siteNameCalls(site string) int {
+	f := tc.fakes[site]
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nameCalls
+}
+
+func mustCommit(t *testing.T, tc *testCluster) RoundReport {
+	t.Helper()
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round did not commit: %s", rep.Reason)
+	}
+	return rep
+}
+
+func TestGatherNameCacheSkipsUnchangedPartitions(t *testing.T) {
+	tc := newTestCluster(t, 8, 2, BreakerConfig{})
+	tc.load(100)
+	rep := mustCommit(t, tc)
+	merged := 0
+	for _, pr := range rep.Partitions {
+		if pr.MergedFrom != "" {
+			merged++
+		}
+	}
+	if got := tc.nameCalls(); got != merged {
+		t.Fatalf("first round asked for names %d times, want once per merged partition (%d)", got, merged)
+	}
+	for i := 0; i < 3; i++ {
+		mustCommit(t, tc)
+	}
+	if got := tc.nameCalls(); got != merged {
+		t.Fatalf("unchanged partitions re-asked for names: %d calls after 4 rounds, want %d", got, merged)
+	}
+}
+
+func TestGatherNameCacheRefetchesOnChange(t *testing.T) {
+	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc.load(40)
+	mustCommit(t, tc)
+	item := uint64(7)
+	p := tc.topo.Partition(item)
+	ns := PartitionNamespace(p)
+
+	// More arrivals in one partition: only that partition is re-asked.
+	before := tc.nameCalls()
+	tc.insert(item, 1)
+	rep := mustCommit(t, tc)
+	if got := tc.nameCalls() - before; got != 1 {
+		t.Fatalf("arrivals in one partition caused %d name fetches, want 1", got)
+	}
+
+	// A closed period in that partition only: re-asked again.
+	before = tc.nameCalls()
+	for _, site := range tc.topo.ReplicaSites(p) {
+		tc.fakes[site].tracker(ns).EndPeriod()
+	}
+	mustCommit(t, tc)
+	if got := tc.nameCalls() - before; got != 1 {
+		t.Fatalf("a closed period in one partition caused %d name fetches, want 1", got)
+	}
+
+	// The merged-from replica dies: the survivor's image enters the view
+	// with the same periods and arrivals, and the survivor is asked.
+	from := rep.Partitions[p].MergedFrom
+	var other string
+	for _, site := range tc.topo.ReplicaSites(p) {
+		if site != from {
+			other = site
+		}
+	}
+	tc.fakes[from].setDown(true)
+	before = tc.siteNameCalls(other)
+	rep = mustCommit(t, tc)
+	if rep.Partitions[p].MergedFrom != other {
+		t.Fatalf("partition %d merged from %q, want the survivor %q", p, rep.Partitions[p].MergedFrom, other)
+	}
+	if got := tc.siteNameCalls(other) - before; got < 1 {
+		t.Fatal("a switch of the merged-from site did not re-ask for names")
+	}
+}
+
+func TestGatherNameFetchFailureRetriedNextRound(t *testing.T) {
+	tc := newTestCluster(t, 1, 1, BreakerConfig{})
+	item := uint64(42)
+	ns := PartitionNamespace(0)
+	site := tc.topo.ReplicaSites(0)[0]
+	tc.fakes[site].tracker(ns).Insert(item)
+	tc.fakes[site].names[ns] = map[uint64]string{item: "checkout-svc"}
+	tc.fakes[site].failNames = 1
+
+	mustCommit(t, tc)
+	entries, _, _ := tc.g.TopK(1)
+	if len(entries) != 1 || entries[0].Key != "42" {
+		t.Fatalf("entries %+v, want the decimal fallback after a failed name fetch", entries)
+	}
+	mustCommit(t, tc) // same image: only the failure makes it ask again
+	if got := tc.siteNameCalls(site); got != 2 {
+		t.Fatalf("%d name fetches over two rounds, want 2 (a failure is not cached)", got)
+	}
+	entries, _, _ = tc.g.TopK(1)
+	if len(entries) != 1 || entries[0].Key != "checkout-svc" {
+		t.Fatalf("entries %+v, want item 42 named after the retry", entries)
+	}
+	mustCommit(t, tc)
+	if got := tc.siteNameCalls(site); got != 2 {
+		t.Fatalf("%d name fetches after a successful one, want still 2", got)
+	}
+}
+
+// TestGatherViewMatchesMergeShardedCheckpoints checks that the view the
+// Gatherer builds from trackers it decoded once is byte-identical to
+// MergeShardedCheckpoints over the chosen replicas' images.
+func TestGatherViewMatchesMergeShardedCheckpoints(t *testing.T) {
+	tc := newTestCluster(t, 8, 2, BreakerConfig{})
+	for p := 0; p < 3; p++ {
+		tc.load(300)
+	}
+	rep := mustCommit(t, tc)
+	var images [][]byte
+	for _, pr := range rep.Partitions {
+		if pr.MergedFrom == "" {
+			continue
+		}
+		img, err := tc.fakes[pr.MergedFrom].FetchCheckpoint(context.Background(), pr.Namespace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, img)
+	}
+	want, err := sigstream.MergeShardedCheckpoints(images...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantImg, _ := want.MarshalBinary()
+	tc.g.mu.Lock()
+	gotImg, _ := tc.g.cur.tracker.MarshalBinary()
+	tc.g.mu.Unlock()
+	if !bytes.Equal(gotImg, wantImg) {
+		t.Fatal("committed view differs from MergeShardedCheckpoints over the chosen images")
+	}
+}
+
+// TestGatherTopKIsPrefixOfFreshRanking checks the once-ranked view
+// against a fresh Sharded.TopK on the committed tracker, for several k,
+// across epochs, with readers racing the rounds.
+func TestGatherTopKIsPrefixOfFreshRanking(t *testing.T) {
+	tc := newTestCluster(t, 8, 2, BreakerConfig{})
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tc.g.TopK(10)
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); readers.Wait() }()
+	for epoch := 1; epoch <= 3; epoch++ {
+		tc.load(50 * epoch)
+		mustCommit(t, tc)
+		tc.g.mu.Lock()
+		tracker := tc.g.cur.tracker
+		tc.g.mu.Unlock()
+		all := len(tracker.TopK(1 << 20))
+		for _, k := range []int{0, 1, 10, all, all + 5} {
+			got, info, ok := tc.g.TopK(k)
+			if !ok || info.Epoch != epoch {
+				t.Fatalf("epoch %d k=%d: ok=%v info %+v", epoch, k, ok, info)
+			}
+			want := tracker.TopK(k)
+			if len(got) != len(want) {
+				t.Fatalf("epoch %d k=%d: %d entries, fresh ranking has %d", epoch, k, len(got), len(want))
+			}
+			for i := range want {
+				w, g := want[i], got[i]
+				if g.Item != w.Item || g.Frequency != w.Frequency ||
+					g.Persistency != w.Persistency || g.Significance != w.Significance {
+					t.Fatalf("epoch %d k=%d entry %d: %+v, fresh ranking %+v", epoch, k, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGatherRound prices one gather round over in-process sites
+// shaped like the cluster-gather workload (16 partitions at R=2 on 3
+// sites, 2-shard 8 KiB partition trackers), followed by the workload's 4
+// reads of the top 300. One partition takes new arrivals per round, so
+// the name cache re-asks for one partition each time.
+func BenchmarkGatherRound(b *testing.B) {
+	tc := newTestCluster(b, 16, 2, BreakerConfig{})
+	for p := 0; p < 16; p++ {
+		ns := PartitionNamespace(p)
+		for _, site := range tc.topo.ReplicaSites(p) {
+			f := tc.fakes[site]
+			f.parts[ns] = sigstream.NewSharded(sigstream.Config{MemoryBytes: 8 << 10, Seed: 7}, 2)
+			f.names[ns] = map[uint64]string{}
+		}
+	}
+	for period := 0; period < 4; period++ {
+		for i := 1; i <= 4000; i++ {
+			tc.insert(uint64(i%1500+1), 1+i%3)
+		}
+		tc.endPeriod()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tc.insert(uint64(i%1500+1), 1)
+		if rep := tc.g.Round(context.Background()); !rep.Committed {
+			b.Fatalf("round did not commit: %s", rep.Reason)
+		}
+		for r := 0; r < 4; r++ {
+			tc.g.TopK(300)
+		}
 	}
 }

@@ -1,15 +1,64 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
+
+	"sigstream"
 )
 
+// scriptSite is a SiteClient whose checkpoint fetches follow a script.
+type scriptSite struct {
+	fetch func() ([]byte, error)
+}
+
+func (s scriptSite) FetchCheckpoint(context.Context, string) ([]byte, error) { return s.fetch() }
+
+func (scriptSite) FetchNames(context.Context, string, int) (map[uint64]string, error) {
+	return nil, nil
+}
+
+func (scriptSite) Ready(context.Context) error { return nil }
+
+// collectFrom runs one replica fetch of the Gatherer — the collection of
+// one partition image from one site — against a scripted site under
+// policy.
+func collectFrom(t *testing.T, fetch func() ([]byte, error), policy RetryPolicy) replicaFetch {
+	t.Helper()
+	topo, err := NewTopology([]string{"rack-a"}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := scriptSite{fetch: fetch}
+	g, err := NewGatherer(GatherConfig{Topology: topo,
+		Clients: map[string]SiteClient{"rack-a": site}, Retry: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.fetchReplica(context.Background(), site, PartitionNamespace(0))
+}
+
+// siteImage returns the checkpoint image of a site tracker holding items.
+func siteImage(t *testing.T, items ...uint64) []byte {
+	t.Helper()
+	tr := sigstream.NewSharded(sigstream.Config{MemoryBytes: 16 << 10, Seed: 5}, 2)
+	for _, it := range items {
+		tr.Insert(it)
+	}
+	tr.EndPeriod()
+	img, err := tr.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
 // flakyFetcher fails the first failures calls, then serves img.
-func flakyFetcher(img []byte, failures int) Fetcher {
+func flakyFetcher(img []byte, failures int) func() ([]byte, error) {
 	calls := 0
 	return func() ([]byte, error) {
 		calls++
@@ -35,20 +84,13 @@ func recordedPolicy(attempts int, base, max time.Duration) (RetryPolicy, *[]time
 }
 
 func TestCollectFromRetriesTransientFailure(t *testing.T) {
-	s := NewSite("rack-a", cfg())
-	s.Insert(7)
-	s.EndPeriod()
-	img, err := s.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := NewCoordinator(cfg())
 	policy, slept := recordedPolicy(4, 50*time.Millisecond, time.Second)
-	if err := co.CollectFrom("rack-a", flakyFetcher(img, 2), policy); err != nil {
-		t.Fatalf("CollectFrom with 2 transient failures: %v", err)
+	res := collectFrom(t, flakyFetcher(siteImage(t, 7), 2), policy)
+	if res.class != fetchOK || res.tracker == nil {
+		t.Fatalf("fetch with 2 transient failures: class %v err %v", res.class, res.err)
 	}
-	if co.Pending() != 1 {
-		t.Fatalf("Pending = %d after a successful retried collect, want 1", co.Pending())
+	if e, ok := res.tracker.Query(7); !ok || e.Frequency != 1 {
+		t.Fatalf("retried image lost its item: %+v ok=%v", e, ok)
 	}
 	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond}
 	if len(*slept) != len(want) || (*slept)[0] != want[0] || (*slept)[1] != want[1] {
@@ -57,18 +99,17 @@ func TestCollectFromRetriesTransientFailure(t *testing.T) {
 }
 
 func TestCollectFromExhaustsAttemptsWithCappedBackoff(t *testing.T) {
-	co := NewCoordinator(cfg())
 	policy, slept := recordedPolicy(5, 400*time.Millisecond, time.Second)
 	dead := errors.New("site is on fire")
-	err := co.CollectFrom("rack-dead", func() ([]byte, error) { return nil, dead }, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
+	res := collectFrom(t, func() ([]byte, error) { return nil, dead }, policy)
+	if res.class != fetchUnreachable {
+		t.Fatalf("fetch from a dead site: class %v, want unreachable", res.class)
 	}
-	if !errors.Is(err, dead) {
-		t.Fatalf("error %v does not wrap the fetch failure", err)
+	if !errors.Is(res.err, dead) {
+		t.Fatalf("error %v does not wrap the fetch failure", res.err)
 	}
-	if !strings.Contains(err.Error(), "after 5 attempts") {
-		t.Fatalf("error %q does not report the attempt count", err)
+	if !strings.Contains(res.err.Error(), "after 5 attempts") {
+		t.Fatalf("error %q does not report the attempt count", res.err)
 	}
 	// 400 doubles to 800, then the 1s cap holds.
 	want := []time.Duration{400 * time.Millisecond, 800 * time.Millisecond, time.Second, time.Second}
@@ -80,21 +121,17 @@ func TestCollectFromExhaustsAttemptsWithCappedBackoff(t *testing.T) {
 			t.Fatalf("backoff step %d = %v, want %v (cap at MaxDelay)", i, (*slept)[i], want[i])
 		}
 	}
-	if co.Pending() != 0 {
-		t.Fatalf("Pending = %d after a failed collect, want 0", co.Pending())
-	}
 }
 
 func TestCollectFromDoesNotRetryCorruptCheckpoint(t *testing.T) {
-	co := NewCoordinator(cfg())
 	calls := 0
 	policy, slept := recordedPolicy(4, time.Millisecond, time.Second)
-	err := co.CollectFrom("rack-a", func() ([]byte, error) {
+	res := collectFrom(t, func() ([]byte, error) {
 		calls++
 		return []byte("not a checkpoint"), nil
 	}, policy)
-	if err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	if res.class != fetchCorrupt {
+		t.Fatalf("corrupt checkpoint: class %v, want corrupt", res.class)
 	}
 	if calls != 1 || len(*slept) != 0 {
 		t.Fatalf("corrupt checkpoint fetched %d times with %d sleeps; deterministic failures must not retry",
@@ -103,7 +140,6 @@ func TestCollectFromDoesNotRetryCorruptCheckpoint(t *testing.T) {
 }
 
 func TestCollectFromBackoffAppliesFullJitter(t *testing.T) {
-	co := NewCoordinator(cfg())
 	var slept []time.Duration
 	policy := RetryPolicy{
 		Attempts:  4,
@@ -112,11 +148,11 @@ func TestCollectFromBackoffAppliesFullJitter(t *testing.T) {
 		sleep:     func(d time.Duration) { slept = append(slept, d) },
 		rand:      func() float64 { return 0.25 },
 	}
-	err := co.CollectFrom("rack-flap", func() ([]byte, error) {
+	res := collectFrom(t, func() ([]byte, error) {
 		return nil, errors.New("connection reset")
 	}, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
+	if res.class != fetchUnreachable {
+		t.Fatalf("fetch from a dead site: class %v, want unreachable", res.class)
 	}
 	// Full jitter scales each capped-exponential ceiling (100ms, 200ms,
 	// 400ms) by the rand draw, here pinned to 0.25.
@@ -132,7 +168,6 @@ func TestCollectFromBackoffAppliesFullJitter(t *testing.T) {
 }
 
 func TestCollectFromDefaultJitterStaysUnderCeiling(t *testing.T) {
-	co := NewCoordinator(cfg())
 	var slept []time.Duration
 	policy := RetryPolicy{
 		Attempts:  5,
@@ -141,11 +176,11 @@ func TestCollectFromDefaultJitterStaysUnderCeiling(t *testing.T) {
 		sleep:     func(d time.Duration) { slept = append(slept, d) },
 		// rand deliberately nil: the default source must be installed.
 	}
-	err := co.CollectFrom("rack-flap", func() ([]byte, error) {
+	res := collectFrom(t, func() ([]byte, error) {
 		return nil, errors.New("connection reset")
 	}, policy)
-	if err == nil {
-		t.Fatal("CollectFrom on a dead site returned nil")
+	if res.class != fetchUnreachable {
+		t.Fatalf("fetch from a dead site: class %v, want unreachable", res.class)
 	}
 	ceilings := []time.Duration{80 * time.Millisecond, 160 * time.Millisecond,
 		200 * time.Millisecond, 200 * time.Millisecond}
@@ -159,157 +194,136 @@ func TestCollectFromDefaultJitterStaysUnderCeiling(t *testing.T) {
 	}
 }
 
-// siteFetcher closes the site's period and exports it, the in-process
-// equivalent of GET /v1/checkpoint at a period boundary.
-func siteFetcher(s *Site) Fetcher {
-	return func() ([]byte, error) {
-		s.EndPeriod()
-		return s.Export()
+// siteReport finds one site's entry in a round report.
+func siteReport(t *testing.T, rep RoundReport, site string) SiteReport {
+	t.Helper()
+	for _, sr := range rep.Sites {
+		if sr.Site == site {
+			return sr
+		}
 	}
+	t.Fatalf("site %s missing from report %+v", site, rep.Sites)
+	return SiteReport{}
 }
 
 func TestGatherRoundMergesDegradedView(t *testing.T) {
-	a, b := NewSite("rack-a", cfg()), NewSite("rack-b", cfg())
-	for i := 0; i < 10; i++ {
-		a.Insert(1)
-		b.Insert(2)
+	tc := newTestCluster(t, 4, 2, BreakerConfig{})
+	tc.load(40)
+	dead := tc.topo.Sites()[2]
+	tc.fakes[dead].setDown(true)
+	rep := tc.g.Round(context.Background())
+	if !rep.Committed {
+		t.Fatalf("round with one dead site of R=2 did not commit: %s", rep.Reason)
 	}
-	co := NewCoordinator(cfg())
-	policy, _ := recordedPolicy(2, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{
-		"rack-a":    siteFetcher(a),
-		"rack-b":    siteFetcher(b),
-		"rack-dead": func() ([]byte, error) { return nil, errors.New("no route to host") },
-	}, policy)
-
-	if !rep.Degraded() {
-		t.Fatal("round with a dead site reported as complete")
+	if sr := siteReport(t, rep, dead); sr.Health != SiteDegraded || len(sr.Skips) == 0 {
+		t.Fatalf("dead site reported %+v, want degraded with skip reasons", sr)
 	}
-	if len(rep.Merged) != 2 || rep.Merged[0] != "rack-a" || rep.Merged[1] != "rack-b" {
-		t.Fatalf("Merged = %v, want the two live sites in name order", rep.Merged)
+	for _, pr := range rep.Partitions {
+		if pr.MergedFrom == dead {
+			t.Fatalf("partition %d merged from the dead site", pr.Partition)
+		}
 	}
-	if err, ok := rep.Skipped["rack-dead"]; !ok || err == nil {
-		t.Fatalf("Skipped = %v, want rack-dead with its error", rep.Skipped)
+	// The degraded view carries every item, once.
+	entries, _, _ := tc.g.TopK(100)
+	if len(entries) != 40 {
+		t.Fatalf("degraded view holds %d items, want 40", len(entries))
 	}
-	if rep.Epoch != 1 {
-		t.Fatalf("Epoch = %d, want 1 (degraded rounds still commit)", rep.Epoch)
-	}
-	// The degraded view carries both live sites' items.
-	for _, item := range []uint64{1, 2} {
-		if e, ok := co.Query(item); !ok || e.Frequency != 10 {
-			t.Fatalf("item %d: entry %+v ok=%v, want frequency 10", item, e, ok)
+	for _, e := range entries {
+		if e.Frequency != 1 {
+			t.Fatalf("item %d frequency %d, want 1", e.Item, e.Frequency)
 		}
 	}
 }
 
 // TestGatherRoundMixedFailureModes exercises one round with every failure
-// class at once: a site that times out twice before answering (retried to
-// success), a site serving a corrupt checkpoint (deterministic, never
-// retried), a dead site (retries exhausted), and a healthy site. The
-// committed view must contain exactly the sites that produced a valid
-// checkpoint.
+// class at once on the four replicas of one partition: a site that times
+// out twice before answering (retried to success), a site serving a
+// corrupt checkpoint (deterministic, never retried), a dead site
+// (retries exhausted), and a healthy site. Two valid replicas meet the
+// quorum of 2, so the round commits with exactly one of them merged.
 func TestGatherRoundMixedFailureModes(t *testing.T) {
-	healthy, slow := NewSite("rack-ok", cfg()), NewSite("rack-slow", cfg())
-	for i := 0; i < 10; i++ {
-		healthy.Insert(1)
-		slow.Insert(2)
-	}
-	okImg, err := healthy.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	slowImg, err := slow.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	slowCalls, corruptCalls := 0, 0
-	co := NewCoordinator(cfg())
+	sites := append(testSites(), "http://n4:8080")
+	tc := newTestClusterOver(t, sites, 1, 4, BreakerConfig{})
 	policy, slept := recordedPolicy(3, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{
-		"rack-ok": func() ([]byte, error) { return okImg, nil },
-		"rack-slow": func() ([]byte, error) {
-			slowCalls++
-			if slowCalls <= 2 {
-				return nil, errors.New("i/o timeout")
-			}
-			return slowImg, nil
-		},
-		"rack-corrupt": func() ([]byte, error) {
-			corruptCalls++
-			return []byte("garbage"), nil
-		},
-		"rack-dead": func() ([]byte, error) { return nil, errors.New("no route to host") },
-	}, policy)
+	tc.g.cfg.Retry = policy
+	tc.load(10)
+	ns := PartitionNamespace(0)
+	reps := tc.topo.ReplicaSites(0)
+	healthy, slow, corrupt, dead := reps[0], reps[1], reps[2], reps[3]
+	tc.fakes[slow].failFirst = 2
+	tc.fakes[corrupt].corrupt[ns] = true
+	tc.fakes[dead].setDown(true)
 
-	if slowCalls != 3 {
-		t.Fatalf("timing-out site fetched %d times, want 3 (transient failures retry)", slowCalls)
+	rep := tc.g.Round(context.Background())
+	if got := tc.fakes[slow].calls(); got != 3 {
+		t.Fatalf("timing-out site fetched %d times, want 3 (transient failures retry)", got)
 	}
-	if corruptCalls != 1 {
-		t.Fatalf("corrupt site fetched %d times, want 1 (deterministic failures must not retry)", corruptCalls)
+	if got := tc.fakes[corrupt].calls(); got != 1 {
+		t.Fatalf("corrupt site fetched %d times, want 1 (deterministic failures must not retry)", got)
 	}
-	if len(rep.Merged) != 2 || rep.Merged[0] != "rack-ok" || rep.Merged[1] != "rack-slow" {
-		t.Fatalf("Merged = %v, want exactly the two sites with valid checkpoints", rep.Merged)
+	if !rep.Committed {
+		t.Fatalf("round with two valid replicas did not commit: %s", rep.Reason)
 	}
-	for _, site := range []string{"rack-corrupt", "rack-dead"} {
-		if err, ok := rep.Skipped[site]; !ok || err == nil {
-			t.Fatalf("Skipped = %v, want %s with its error", rep.Skipped, site)
+	if pr := rep.Partitions[0]; pr.Reported != 2 || (pr.MergedFrom != healthy && pr.MergedFrom != slow) {
+		t.Fatalf("partition report %+v, want 2 reports merged from %s or %s", pr, healthy, slow)
+	}
+	for _, site := range []string{corrupt, dead} {
+		if sr := siteReport(t, rep, site); len(sr.Skips) == 0 {
+			t.Fatalf("site %s reported %+v, want a skip reason", site, sr)
 		}
 	}
-	// Only the timing-out site slept: two retries at the (jitter-pinned)
-	// 1ms base; the dead site adds its own two.
+	// Only the timing-out and the dead site slept: two retries each at
+	// the (jitter-pinned) 1ms base.
 	if len(*slept) != 4 {
 		t.Fatalf("observed %d sleeps (%v), want 4: 2 for the slow site, 2 for the dead one", len(*slept), *slept)
 	}
-	// The merged view holds exactly the healthy sites' items.
-	for _, item := range []uint64{1, 2} {
-		if e, ok := co.Query(item); !ok || e.Frequency != 10 {
-			t.Fatalf("item %d: entry %+v ok=%v, want frequency 10", item, e, ok)
+	entries, _, _ := tc.g.TopK(20)
+	if len(entries) != 10 {
+		t.Fatalf("view holds %d items, want 10", len(entries))
+	}
+	for _, e := range entries {
+		if e.Frequency != 1 {
+			t.Fatalf("item %d frequency %d, want 1", e.Item, e.Frequency)
 		}
 	}
-
-	// Satellite: the report survives the round on the coordinator.
-	last, ok := co.LastReport()
+	// The report survives the round on the gatherer.
+	last, ok := tc.g.LastRound()
 	if !ok {
-		t.Fatal("LastReport empty after a round")
+		t.Fatal("LastRound empty after a round")
 	}
-	if last.Epoch != rep.Epoch || len(last.Merged) != len(rep.Merged) || len(last.Skipped) != len(rep.Skipped) {
-		t.Fatalf("LastReport %+v does not match the returned report %+v", last, rep)
-	}
-	last.Merged[0] = "mutated"
-	again, _ := co.LastReport()
-	if again.Merged[0] != "rack-ok" {
-		t.Fatal("LastReport returned a view aliasing internal state")
+	if last.Epoch != rep.Epoch || last.Committed != rep.Committed || len(last.Sites) != len(rep.Sites) {
+		t.Fatalf("LastRound %+v does not match the returned report %+v", last, rep)
 	}
 }
 
 func TestLastReportEmptyBeforeFirstRound(t *testing.T) {
-	co := NewCoordinator(cfg())
-	if _, ok := co.LastReport(); ok {
-		t.Fatal("LastReport reported a round before one ran")
+	tc := newTestCluster(t, 2, 2, BreakerConfig{})
+	if _, ok := tc.g.LastRound(); ok {
+		t.Fatal("LastRound reported a round before one ran")
 	}
 }
 
 func TestGatherRoundAllDeadKeepsPreviousView(t *testing.T) {
-	a := NewSite("rack-a", cfg())
+	tc := newTestCluster(t, 2, 2, BreakerConfig{})
 	for i := 0; i < 5; i++ {
-		a.Insert(9)
+		tc.load(1)
 	}
-	co := NewCoordinator(cfg())
-	policy, _ := recordedPolicy(2, time.Millisecond, time.Millisecond)
-	rep := co.GatherRound(map[string]Fetcher{"rack-a": siteFetcher(a)}, policy)
-	if rep.Degraded() || rep.Epoch != 1 {
+	if rep := tc.g.Round(context.Background()); !rep.Committed || rep.Epoch != 1 {
 		t.Fatalf("healthy round: %+v", rep)
 	}
-
-	rep = co.GatherRound(map[string]Fetcher{
-		"rack-a": func() ([]byte, error) { return nil, errors.New("powered off") },
-	}, policy)
-	if len(rep.Merged) != 0 || rep.Epoch != 2 {
-		t.Fatalf("all-dead round: %+v, want empty merge at epoch 2", rep)
+	for _, f := range tc.fakes {
+		f.setDown(true)
+	}
+	rep := tc.g.Round(context.Background())
+	if rep.Committed || rep.Epoch != 1 {
+		t.Fatalf("all-dead round: %+v, want uncommitted at epoch 1", rep)
 	}
 	// Stale beats blank: the previous round's view still answers.
-	if e, ok := co.Query(9); !ok || e.Frequency != 5 {
-		t.Fatalf("previous view lost after an all-dead round: %+v ok=%v", e, ok)
+	entries, info, ok := tc.g.TopK(10)
+	if !ok || len(entries) != 1 || entries[0].Frequency != 5 {
+		t.Fatalf("previous view lost after an all-dead round: %+v ok=%v", entries, ok)
+	}
+	if !info.Stale {
+		t.Fatal("view not marked stale after an all-dead round")
 	}
 }

@@ -514,6 +514,18 @@ func (l *LTC) EndPeriod() {
 // not yet consumed by the sweep each represent one real period of
 // appearance, so they are included in the reported persistency.
 func (l *LTC) entry(i int) stream.Entry {
+	p := l.persistency(i)
+	return stream.Entry{
+		Item:         l.ids[i],
+		Frequency:    uint64(l.freqs[i]),
+		Persistency:  p,
+		Significance: l.opts.Weights.Significance(uint64(l.freqs[i]), p),
+	}
+}
+
+// persistency is cell i's persistency estimate: the counter plus any
+// pending flag bits not yet folded in by the sweep.
+func (l *LTC) persistency(i int) uint64 {
 	p := uint64(l.counters[i])
 	if l.flags[i]&flagEven != 0 {
 		p++
@@ -521,12 +533,7 @@ func (l *LTC) entry(i int) stream.Entry {
 	if l.flags[i]&flagOdd != 0 {
 		p++
 	}
-	return stream.Entry{
-		Item:         l.ids[i],
-		Frequency:    uint64(l.freqs[i]),
-		Persistency:  p,
-		Significance: l.opts.Weights.Significance(uint64(l.freqs[i]), p),
-	}
+	return p
 }
 
 // Query reports the estimate for item, if tracked.

@@ -14,8 +14,9 @@ package ltc
 // (sigstream.Sharded) that holds by construction.
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 )
 
 // ErrIncompatible reports a merge between trackers of different shape.
@@ -34,59 +35,44 @@ func (l *LTC) Compatible(other *LTC) bool {
 // modified. Pending flag bits of both trackers are folded into the merged
 // persistency counters (so Merge is intended for end-of-stream or
 // end-of-period aggregation, after both sides saw EndPeriod).
+//
+// The kernel works bucket by bucket in one scratch slice: gather both
+// buckets' occupied cells, sort them by id and sum duplicate ids, compute
+// each survivor's significance once, then rank by (significance desc, id
+// asc) and keep the first d. Ids are unique after the summing pass, so
+// that order is total and the result does not depend on the sort
+// algorithm. The scratch slice is the call's only allocation.
 func (l *LTC) Merge(other *LTC) error {
 	if !l.Compatible(other) {
 		return ErrIncompatible
 	}
-	type merged struct {
-		id      uint64
-		freq    uint64
-		counter uint64
-	}
+	cells := make([]mergeCell, 0, 2*l.d)
 	for b := 0; b < l.w; b++ {
 		base, end := b*l.d, (b+1)*l.d
-
-		sum := make(map[uint64]*merged, 2*l.d)
-		absorb := func(host *LTC) {
-			for i := base; i < end; i++ {
-				if host.flags[i]&flagOccupied == 0 {
-					continue
-				}
-				e := host.entry(i) // folds pending flags into persistency
-				m := sum[e.Item]
-				if m == nil {
-					m = &merged{id: e.Item}
-					sum[e.Item] = m
-				}
-				m.freq += e.Frequency
-				m.counter += e.Persistency
+		cells = l.appendCells(cells[:0], base, end)
+		cells = other.appendCells(cells, base, end)
+		slices.SortFunc(cells, byID)
+		n := 0
+		for _, c := range cells {
+			if n > 0 && cells[n-1].id == c.id {
+				cells[n-1].freq += c.freq
+				cells[n-1].counter += c.counter
+				continue
 			}
+			cells[n] = c
+			n++
 		}
-		absorb(l)
-		absorb(other)
-
-		all := make([]*merged, 0, len(sum))
-		for _, m := range sum {
-			all = append(all, m)
+		cells = cells[:n]
+		for i := range cells {
+			cells[i].sig = l.opts.Weights.Significance(cells[i].freq, cells[i].counter)
 		}
-		sort.Slice(all, func(i, j int) bool {
-			si := l.opts.Weights.Significance(all[i].freq, all[i].counter)
-			sj := l.opts.Weights.Significance(all[j].freq, all[j].counter)
-			//siglint:ignore cold-path ranking by the float reporting definition; equality only routes to the deterministic id tie-break
-			if si != sj {
-				return si > sj
-			}
-			return all[i].id < all[j].id
-		})
-		if len(all) > l.d {
-			all = all[:l.d]
-		}
+		slices.SortFunc(cells, bySignificance)
 		for j := 0; j < l.d; j++ {
 			i := base + j
-			if j < len(all) {
-				l.ids[i] = all[j].id
-				l.freqs[i] = saturate32(all[j].freq)
-				l.counters[i] = saturate32(all[j].counter)
+			if j < len(cells) {
+				l.ids[i] = cells[j].id
+				l.freqs[i] = saturate32(cells[j].freq)
+				l.counters[i] = saturate32(cells[j].counter)
 				l.flags[i] = flagOccupied
 			} else {
 				l.ids[i] = 0
@@ -98,6 +84,41 @@ func (l *LTC) Merge(other *LTC) error {
 	}
 	l.occupied = l.countOccupied()
 	return nil
+}
+
+// mergeCell is one candidate of a bucket merge, with sums widened to 64
+// bits so saturation happens once, on store.
+type mergeCell struct {
+	id      uint64
+	freq    uint64
+	counter uint64
+	sig     float64
+}
+
+// appendCells appends the occupied cells of [base, end) to dst, folding
+// pending flag bits into persistency exactly as entry does.
+func (l *LTC) appendCells(dst []mergeCell, base, end int) []mergeCell {
+	for i := base; i < end; i++ {
+		if l.flags[i]&flagOccupied == 0 {
+			continue
+		}
+		dst = append(dst, mergeCell{id: l.ids[i], freq: uint64(l.freqs[i]), counter: l.persistency(i)})
+	}
+	return dst
+}
+
+func byID(a, b mergeCell) int { return cmp.Compare(a.id, b.id) }
+
+// bySignificance orders merge candidates by significance descending, ids
+// ascending on ties: the float reporting order TopK uses.
+func bySignificance(a, b mergeCell) int {
+	switch {
+	case a.sig > b.sig:
+		return -1
+	case a.sig < b.sig:
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 func saturate32(v uint64) uint32 {

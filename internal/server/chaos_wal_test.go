@@ -123,7 +123,7 @@ func TestChaosWALPipelinedCrash(t *testing.T) {
 
 	a := New(cfg)
 	srvA := httptest.NewServer(a)
-	post(t, srvA.URL+"/v1/insert", distinctWorkload(6)).Body.Close()
+	mustPostAccepted(t, srvA.URL+"/v1/insert", distinctWorkload(6))
 
 	// The ack precedes the asynchronous apply; poll until the pipeline
 	// has drained so the pre-kill ranking is the full accepted prefix.

@@ -5,9 +5,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sigstream"
 )
@@ -16,6 +18,42 @@ import (
 func readAll(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
 	return io.ReadAll(resp.Body)
+}
+
+// postAccepted POSTs body until the server accepts it. A 429 is retried
+// after its Retry-After, the client contract of the pipeline's high-water
+// shed gate and of tenant quotas; any other non-200 status is an error.
+// Tests that count every arrival post through it, so a shed request is
+// re-sent rather than silently missing from the count.
+func postAccepted(url, body string) error {
+	for attempt := 0; ; attempt++ {
+		resp, err := http.Post(url, "text/plain", strings.NewReader(body))
+		if err != nil {
+			return err
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusOK:
+			return nil
+		case resp.StatusCode == http.StatusTooManyRequests && attempt < 50:
+			secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if err != nil || secs < 0 {
+				return fmt.Errorf("POST %s: 429 with Retry-After %q", url, resp.Header.Get("Retry-After"))
+			}
+			time.Sleep(time.Duration(secs) * time.Second)
+		default:
+			return fmt.Errorf("POST %s: status %d after %d attempts", url, resp.StatusCode, attempt+1)
+		}
+	}
+}
+
+// mustPostAccepted is postAccepted for the test goroutine.
+func mustPostAccepted(t *testing.T, url, body string) {
+	t.Helper()
+	if err := postAccepted(url, body); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // newPipelinedServer starts a server with the asynchronous ingestion path
@@ -51,8 +89,8 @@ func TestPipelinedServerMatchesSync(t *testing.T) {
 			fmt.Fprintf(&body, "key-%d\n", i%97)
 		}
 		for _, srv := range []*httptest.Server{piped, syncSrv} {
-			post(t, srv.URL+"/v1/insert", body.String()).Body.Close()
-			post(t, srv.URL+"/v1/period", "").Body.Close()
+			mustPostAccepted(t, srv.URL+"/v1/insert", body.String())
+			mustPostAccepted(t, srv.URL+"/v1/period", "")
 		}
 	}
 	pTop := decode[[]entryJSON](t, get(t, piped.URL+"/v1/top?k=10"))
@@ -88,13 +126,12 @@ func TestPipelinedServerConcurrentClients(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(piped.URL+"/v1/insert", "text/plain",
-					strings.NewReader(fmt.Sprintf("k%d\nk%d\nk%d\n", c, i%7, (c+i)%13)))
+				err := postAccepted(piped.URL+"/v1/insert",
+					fmt.Sprintf("k%d\nk%d\nk%d\n", c, i%7, (c+i)%13))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				resp.Body.Close()
 				if i%10 == 0 {
 					if r, err := http.Get(piped.URL + "/v1/top?k=5"); err == nil {
 						r.Body.Close()
@@ -117,13 +154,13 @@ func TestPipelinedServerConcurrentClients(t *testing.T) {
 func TestPipelinedServerRestoreSwapsPipeline(t *testing.T) {
 	piped, _, _ := newPipelinedServer(t)
 
-	post(t, piped.URL+"/v1/insert", "a\nb\nc\n").Body.Close()
+	mustPostAccepted(t, piped.URL+"/v1/insert", "a\nb\nc\n")
 	resp := get(t, piped.URL+"/v1/checkpoint")
 	img, err := readAll(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	post(t, piped.URL+"/v1/insert", "d\ne\n").Body.Close()
+	mustPostAccepted(t, piped.URL+"/v1/insert", "d\ne\n")
 
 	restore, err := http.Post(piped.URL+"/v1/restore", "application/octet-stream",
 		strings.NewReader(string(img)))
@@ -135,7 +172,7 @@ func TestPipelinedServerRestoreSwapsPipeline(t *testing.T) {
 		t.Fatalf("restore status %d", restore.StatusCode)
 	}
 
-	post(t, piped.URL+"/v1/insert", "f\ng\nh\nf\n").Body.Close()
+	mustPostAccepted(t, piped.URL+"/v1/insert", "f\ng\nh\nf\n")
 	st := decode[statsResponse](t, get(t, piped.URL+"/v1/stats"))
 	// 3 from the checkpoint + 4 after the restore; the 2 inserted between
 	// checkpoint and restore were discarded with the replaced tracker.
@@ -178,7 +215,7 @@ func TestPipelinedServerMetrics(t *testing.T) {
 // pipelined inserts fail with 503 while reads keep working.
 func TestServerCloseStopsIngestion(t *testing.T) {
 	piped, _, handler := newPipelinedServer(t)
-	post(t, piped.URL+"/v1/insert", "a\n").Body.Close()
+	mustPostAccepted(t, piped.URL+"/v1/insert", "a\n")
 	if err := handler.Close(); err != nil {
 		t.Fatal(err)
 	}

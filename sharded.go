@@ -225,6 +225,28 @@ func (s *Sharded) TopK(k int) []Entry {
 	return out
 }
 
+// Merge folds other into s shard by shard, mirroring LTC.Merge: shard i
+// of other merges into shard i of s, preserving the hash partition. Both
+// must come from the same Config and shard count. Each of s's shard locks
+// is held while that shard merges; other is read without locks and must
+// not be written concurrently. other is not modified.
+func (s *Sharded) Merge(other *Sharded) error {
+	if len(other.shards) != len(s.shards) {
+		return fmt.Errorf("%w: %d shards, want %d",
+			ltc.ErrIncompatible, len(other.shards), len(s.shards))
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		err := sh.l.Merge(other.shards[i].l)
+		sh.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // MemoryBytes reports the summed shard budgets.
 func (s *Sharded) MemoryBytes() int {
 	total := 0

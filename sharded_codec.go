@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"sigstream/internal/ltc"
 )
 
 // shardedMagic identifies a Sharded checkpoint ("SGSH").
@@ -62,17 +64,13 @@ func (s *Sharded) DecodeFrom(r io.Reader) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("%w: short header", ErrBadShardedCheckpoint)
 	}
-	if binary.LittleEndian.Uint32(hdr[:]) != shardedMagic {
-		return fmt.Errorf("%w: bad magic", ErrBadShardedCheckpoint)
+	shards, err := shardsFor(hdr[:])
+	if err != nil {
+		return err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if n < 1 || n > 1<<16 {
-		return fmt.Errorf("%w: implausible shard count %d", ErrBadShardedCheckpoint, n)
-	}
-	shards := make([]shard, n)
 	var buf bytes.Buffer
 	var lenBuf [4]byte
-	for i := 0; i < n; i++ {
+	for i := range shards {
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return fmt.Errorf("%w: truncated at shard %d", ErrBadShardedCheckpoint, i)
 		}
@@ -81,13 +79,34 @@ func (s *Sharded) DecodeFrom(r io.Reader) error {
 		if _, err := io.CopyN(&buf, r, size); err != nil {
 			return fmt.Errorf("%w: shard %d overruns image", ErrBadShardedCheckpoint, i)
 		}
-		inner := New(Config{})
-		if err := inner.UnmarshalBinary(buf.Bytes()); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
+		if err := decodeShard(&shards[i], i, buf.Bytes()); err != nil {
+			return err
 		}
-		shards[i].l = inner.l
 	}
 	s.shards = shards
+	return nil
+}
+
+// shardsFor validates a checkpoint header and allocates its shard slots.
+func shardsFor(hdr []byte) ([]shard, error) {
+	if binary.LittleEndian.Uint32(hdr) != shardedMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadShardedCheckpoint)
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[4:]))
+	if n < 1 || n > 1<<16 {
+		return nil, fmt.Errorf("%w: implausible shard count %d", ErrBadShardedCheckpoint, n)
+	}
+	return make([]shard, n), nil
+}
+
+// decodeShard restores shard i straight into a zero LTC: the image
+// dictates the geometry, so no default-sized tracker is built only to be
+// replaced.
+func decodeShard(sh *shard, i int, img []byte) error {
+	sh.l = new(ltc.LTC)
+	if err := sh.l.UnmarshalBinary(img); err != nil {
+		return fmt.Errorf("shard %d: %w", i, err)
+	}
 	return nil
 }
 
@@ -103,19 +122,36 @@ func (s *Sharded) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a Sharded tracker from a MarshalBinary image
-// (encoding.BinaryUnmarshaler); a thin wrapper over DecodeFrom that also
-// rejects trailing bytes. Not safe to call concurrently with other
-// operations.
+// (encoding.BinaryUnmarshaler). It decodes each shard in place from data,
+// without the intermediate copy DecodeFrom's streaming needs, and rejects
+// trailing bytes. Not safe to call concurrently with other operations.
 func (s *Sharded) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	var tmp Sharded
-	if err := tmp.DecodeFrom(r); err != nil {
+	if len(data) < 8 {
+		return fmt.Errorf("%w: short header", ErrBadShardedCheckpoint)
+	}
+	shards, err := shardsFor(data)
+	if err != nil {
 		return err
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadShardedCheckpoint, r.Len())
+	rest := data[8:]
+	for i := range shards {
+		if len(rest) < 4 {
+			return fmt.Errorf("%w: truncated at shard %d", ErrBadShardedCheckpoint, i)
+		}
+		size := uint64(binary.LittleEndian.Uint32(rest))
+		rest = rest[4:]
+		if size > uint64(len(rest)) {
+			return fmt.Errorf("%w: shard %d overruns image", ErrBadShardedCheckpoint, i)
+		}
+		if err := decodeShard(&shards[i], i, rest[:size]); err != nil {
+			return err
+		}
+		rest = rest[size:]
 	}
-	s.shards = tmp.shards
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadShardedCheckpoint, len(rest))
+	}
+	s.shards = shards
 	return nil
 }
 
